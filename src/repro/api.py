@@ -195,9 +195,7 @@ class Session:
 
         Runs ``batch_size`` independent replications through the sharded
         batch engine (parallel when ``run.workers > 1``; bit-exact across
-        worker counts and across engines — ``engine="bitslice"`` maps
-        replications onto packed bit lanes and is the fastest backend
-        here). The replications use a fresh
+        worker counts and across engines). The replications use a fresh
         :class:`~repro.sim.batch.BatchRandomStimulus` derived from the
         session seed — the session's own stimulus object, if any, is not
         consulted (the batch engine generates its lanes vectorised).

@@ -244,7 +244,6 @@ def run_shard(
     stimulus_kwargs: Optional[Mapping[str, object]] = None,
     nets: Optional[Sequence[str]] = None,
     checkpoint_every: Optional[int] = None,
-    lane_width: Optional[int] = None,
 ) -> ShardStats:
     """Execute one shard and return its raw counters.
 
@@ -269,15 +268,7 @@ def run_shard(
         probe_monitors = [
             BatchProbe(name, expr) for name, expr in sorted((probes or {}).items())
         ]
-        # stacklevel=3: attribute a bitslice->compiled degradation warning
-        # to whoever invoked run_shard, not to this wrapper.
-        simulator = BatchSimulator(
-            design,
-            batch_size=spec.lanes,
-            engine=engine,
-            lane_width=lane_width,
-            stacklevel=3,
-        )
+        simulator = BatchSimulator(design, batch_size=spec.lanes, engine=engine)
         stimulus = BatchRandomStimulus(
             design, batch_size=spec.lanes, seed=spec.seed, **dict(stimulus_kwargs or {})
         )
@@ -330,7 +321,6 @@ def _run_shard_payload(payload: dict) -> ShardStats:
         stimulus_kwargs=payload["stimulus_kwargs"],
         nets=payload["nets"],
         checkpoint_every=payload["checkpoint_every"],
-        lane_width=payload.get("lane_width"),
     )
 
 
@@ -363,7 +353,6 @@ def run_batch_sharded(
     nets: Optional[Sequence[str]] = None,
     checkpoint_every: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
-    lane_width: Optional[int] = None,
 ) -> ShardedRun:
     """Shard a batch Monte-Carlo run over a process pool and merge it.
 
@@ -391,7 +380,6 @@ def run_batch_sharded(
             "stimulus_kwargs": dict(stimulus_kwargs or {}),
             "nets": list(nets) if nets is not None else None,
             "checkpoint_every": checkpoint_every,
-            "lane_width": lane_width,
         }
         for spec in plan
     ]

@@ -268,9 +268,6 @@ def estimate_power_ci(
     batch engine (:func:`repro.parallel.run_batch_sharded`, parallel
     when ``run.workers > 1``, bit-exact regardless) and converts the
     per-replication energies into a mean power and 95% half-width.
-    ``run.engine="bitslice"`` routes every shard through the lane-packed
-    kernel (replications map onto bit lanes; see ``docs/bitslice.md``)
-    and is the fastest way to compute this interval.
     """
     from repro.parallel.shard import run_batch_sharded
     from repro.sim.batch import cross_lane_ci

@@ -13,10 +13,9 @@ config object — with inconsistent names, positions and defaults.
   CLI when they build the default random stimulus);
 * ``engine`` — ``"python"`` (the reference interpreter), ``"compiled"``
   (the pre-bound kernel backend of :mod:`repro.sim.compile`; bit-exact,
-  much faster), ``"bitslice"`` (the lane-packed bigint kernel of
-  :mod:`repro.sim.bitslice`; bit-exact, fastest for batch workloads) or
-  ``"checked"`` (two engines run in lockstep with periodic
-  cross-comparison; see :mod:`repro.sim.checked`);
+  much faster) or ``"checked"`` (compiled and reference engines run in
+  lockstep with periodic cross-comparison; see
+  :mod:`repro.sim.checked`);
 * ``workers`` — process-pool width for the parallel execution layer
   (:mod:`repro.parallel`): ``1`` = serial, ``0`` = one worker per CPU,
   ``n > 1`` = a pool of ``n`` processes. Defaults to the
@@ -39,7 +38,7 @@ from typing import Mapping, Optional
 from repro.errors import ReproError
 
 #: The available simulation backends.
-ENGINES = ("python", "compiled", "bitslice", "checked")
+ENGINES = ("python", "compiled", "checked")
 
 
 def _default_workers() -> int:
@@ -65,15 +64,12 @@ class RunConfig:
         Stimulus seed, used wherever the library builds the stimulus
         itself (the :mod:`repro.api` facade, the CLI).
     engine:
-        ``"python"``, ``"compiled"``, ``"bitslice"`` or ``"checked"`` —
-        which simulation backend runs the netlist. ``"compiled"`` is
-        bit-exact with the python reference and much faster;
-        ``"bitslice"`` packs stimulus lanes into Python bigints and is
-        the fastest batch backend (see ``docs/bitslice.md``);
-        ``"checked"`` runs two engines in lockstep and raises
-        :class:`~repro.errors.EquivalenceError` if they ever disagree
-        (differential self-checking at roughly the combined cost of the
-        two engines).
+        ``"python"``, ``"compiled"`` or ``"checked"`` — which simulation
+        backend runs the netlist. ``"compiled"`` is bit-exact with the
+        python reference and much faster; ``"checked"`` runs both in
+        lockstep and raises :class:`~repro.errors.EquivalenceError` if
+        they ever disagree (differential self-checking at roughly the
+        combined cost of the two engines).
     workers:
         Process-pool width for candidate scoring / style comparison /
         sharded batch runs: ``1`` = serial, ``0`` = auto (one worker per

@@ -556,7 +556,10 @@ class JobService:
         missing or corrupt blob re-enqueues the job instead of serving a
         lie. Jobs that were ``queued`` or ``running`` at crash time are
         orphans — their (implicit) lease died with the process — and are
-        re-enqueued with a journaled ``retry`` record.
+        re-enqueued with a journaled ``retry`` record. An orphan whose
+        journaled run config no longer validates (e.g. a removed engine)
+        is failed with a journaled ``fail`` record instead: running it
+        under any other config would cache a foreign result under its key.
         """
         assert self.store is not None
         report = RecoveryReport(
@@ -573,11 +576,12 @@ class JobService:
                 max_id = max(max_id, int(job_id.lstrip("j")))
             except ValueError:
                 pass
-            run_cfg = self.default_run
+            run_error: Optional[ReproError] = None
             try:
                 run_cfg = RunConfig.from_dict(state.get("run") or {})
-            except ReproError:
-                pass
+            except ReproError as exc:
+                # Placeholder only: a job with a rejected config never runs.
+                run_cfg, run_error = self.default_run, exc
             job = Job(
                 id=job_id,
                 method=state.get("method", ""),
@@ -596,6 +600,7 @@ class JobService:
                 recovered=True,
             )
             terminal = state["state"]
+            orphaned = False
             if terminal == "done":
                 hit, payload = self.cache.get(job.cache_key)
                 digest = state.get("result_digest")
@@ -610,7 +615,7 @@ class JobService:
                     report.results_recovered += 1
                 else:
                     report.results_missing += 1
-                    orphans.append(job)
+                    orphaned = True
             elif terminal == "failed":
                 job.state = FAILED
                 job.error = state.get("error")
@@ -621,6 +626,14 @@ class JobService:
                 job.finished_at = time.time()
                 report.cancelled += 1
             else:  # queued / running: orphaned by the crash
+                orphaned = True
+            if orphaned and run_error is not None:
+                job.state = FAILED
+                job.error = _error_payload(run_error, code="invalid-run-config")
+                job.finished_at = time.time()
+                self._journal("fail", job, error=job.error)
+                report.failed += 1
+            elif orphaned:
                 orphans.append(job)
             with self._jobs_lock:
                 self._jobs[job.id] = job

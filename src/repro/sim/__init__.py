@@ -23,16 +23,6 @@ from repro.sim.compile import (
     design_structure_hash,
     program_cache,
 )
-from repro.sim.bitslice import (
-    BitsliceBatchKernel,
-    BitsliceCache,
-    BitsliceProgram,
-    BitsliceSimulator,
-    bitslice_cache,
-    compile_bitslice,
-    pack_lanes,
-    unpack_lanes,
-)
 from repro.sim.stimulus import (
     BurstyDataStream,
     CompositeStimulus,
@@ -78,14 +68,6 @@ __all__ = [
     "compile_design",
     "design_structure_hash",
     "program_cache",
-    "BitsliceSimulator",
-    "BitsliceBatchKernel",
-    "BitsliceProgram",
-    "BitsliceCache",
-    "bitslice_cache",
-    "compile_bitslice",
-    "pack_lanes",
-    "unpack_lanes",
     "Stimulus",
     "ControlStream",
     "DataStream",

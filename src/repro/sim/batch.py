@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import copy
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.errors import CompilationError, SimulationError, StimulusError
+from repro.errors import SimulationError, StimulusError
 from repro.netlist.arith import (
     Adder,
     Comparator,
@@ -361,44 +360,17 @@ class BatchSimulator:
     pre-bound per-cell closures (nets, masks and operand order resolved
     once at construction) instead of re-dispatching through the
     ``isinstance`` chain of :meth:`_evaluate` on every cell of every
-    cycle. With ``engine="bitslice"`` the whole batch runs through the
-    lane-packed bigint kernel of :mod:`repro.sim.bitslice`: replications
-    map 1:1 onto bit lanes (``lane_width`` per word, default 64), so a
-    two-input gate costs a couple of bigint ops for the entire batch.
-    All engines are bit-exact with each other; if the bitslice lowering
-    rejects the design, construction degrades to ``"compiled"`` with a
-    ``RuntimeWarning`` and a recorded :attr:`fallback_reason`.
+    cycle. Both engines are bit-exact with each other.
     """
 
-    #: Set when a requested engine could not be built and a slower one
-    #: stands in (bitslice -> compiled degradation).
-    fallback_reason: Optional[str] = None
-
     def __init__(
-        self,
-        design: Design,
-        batch_size: int = 32,
-        engine: str = "python",
-        lane_width: Optional[int] = None,
-        stacklevel: int = 2,
+        self, design: Design, batch_size: int = 32, engine: str = "python"
     ) -> None:
-        # ``stacklevel`` controls where the bitslice->compiled degradation
-        # RuntimeWarning is attributed. The default 2 names whoever
-        # constructed the simulator; wrappers that build one on a caller's
-        # behalf (e.g. :func:`repro.parallel.run_shard`) pass 3 so the
-        # warning lands on *their* caller's file, not a line inside
-        # ``repro`` — same convention as ``resolve_run_config``.
         # The lockstep "checked" mode exists only for the scalar engines;
         # reject it here rather than silently running unchecked.
-        if engine not in ("python", "compiled", "bitslice"):
+        if engine not in ("python", "compiled"):
             raise SimulationError(
-                f"batch engine supports 'python', 'compiled' or 'bitslice', "
-                f"got {engine!r}"
-            )
-        if lane_width is not None and engine != "bitslice":
-            raise SimulationError(
-                f"lane_width only applies to engine='bitslice', "
-                f"got lane_width={lane_width} with engine={engine!r}"
+                f"batch engine supports 'python' or 'compiled', got {engine!r}"
             )
         for net in design.nets:
             if net.width > _MAX_WIDTH:
@@ -408,29 +380,7 @@ class BatchSimulator:
                 )
         self.design = design
         self.batch_size = batch_size
-        self._bskernel = None
-        if engine == "bitslice":
-            # Imported lazily: repro.sim.bitslice imports this module.
-            from repro.sim.bitslice import BitsliceBatchKernel
-
-            try:
-                self._bskernel = BitsliceBatchKernel(
-                    design, batch_size, lane_width if lane_width else 64
-                )
-            except CompilationError as exc:
-                warnings.warn(
-                    f"batch engine 'bitslice' unavailable for design "
-                    f"{design.name!r} ({exc}); falling back to the compiled "
-                    f"engine",
-                    RuntimeWarning,
-                    stacklevel=stacklevel,
-                )
-                self.fallback_reason = str(exc)
-                engine = "compiled"
         self.engine = engine
-        self.lane_width = (
-            self._bskernel.lane_width if self._bskernel is not None else None
-        )
         self._order = combinational_order(design)
         self._registers = design.registers
         self._stateful_comb = [
@@ -446,11 +396,6 @@ class BatchSimulator:
     def reset(self) -> None:
         n = self.batch_size
         self.cycle = 0
-        if self._bskernel is not None:
-            self._bskernel.reset()
-            self.values = self._bskernel.values_view
-            self.state = {}
-            return
         self.values: Dict[Net, np.ndarray] = {
             net: np.zeros(n, dtype=np.uint64) for net in self.design.nets
         }
@@ -470,9 +415,6 @@ class BatchSimulator:
 
     # ------------------------------------------------------------------
     def step(self, pi_values: Mapping[str, np.ndarray]) -> Mapping[Net, np.ndarray]:
-        if self._bskernel is not None:
-            self._bskernel.step(pi_values)
-            return self.values
         for pi in self.design.primary_inputs:
             net = pi.net("Y")
             try:
@@ -491,10 +433,6 @@ class BatchSimulator:
         return self.values
 
     def commit(self) -> None:
-        if self._bskernel is not None:
-            self._bskernel.commit()
-            self.cycle += 1
-            return
         updates: Dict[Cell, np.ndarray] = {}
         for reg in self._registers:
             d = self.values[reg.net("D")]
@@ -541,11 +479,6 @@ class BatchSimulator:
             raise SimulationError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        if self._bskernel is not None:
-            return self._run_bitslice(
-                stimulus, cycles, monitors, warmup, checkpoint_every,
-                resume_from,
-            )
         with obs.span(
             "sim.batch",
             "sim",
@@ -576,63 +509,6 @@ class BatchSimulator:
                 monitor.finish()
             return monitors
 
-    def _run_bitslice(
-        self,
-        stimulus,
-        cycles: int,
-        monitors: Optional[Sequence[BatchMonitor]],
-        warmup: int,
-        checkpoint_every: Optional[int],
-        resume_from: Optional[BatchCheckpoint],
-    ) -> List[BatchMonitor]:
-        """The :meth:`run` loop for the lane-packed kernel.
-
-        Same loop structure and checkpoint semantics as the generic
-        path; the difference is that monitor accumulation happens inside
-        the kernel (lane-packed counters) and is published back into the
-        live monitor objects via ``sync_monitors`` at every checkpoint
-        and at the end of the run.
-        """
-        kernel = self._bskernel
-        with obs.span(
-            "sim.batch",
-            "sim",
-            design=self.design.name,
-            batch_size=self.batch_size,
-            cycles=cycles,
-            warmup=warmup,
-            resumed=resume_from is not None,
-            engine="bitslice",
-            lane_width=kernel.lane_width,
-        ):
-            obs.counter("lanes.packed").inc(self.batch_size)
-            if resume_from is not None:
-                self.restore(resume_from)
-                monitors = self._copy_monitors(resume_from.monitors)
-                start = resume_from.step_index
-                kernel.observed = max(0, start - warmup)
-                kernel.attach_monitors(monitors, resume=True)
-            else:
-                monitors = list(monitors or [])
-                for monitor in monitors:
-                    monitor.begin(self.design, self.batch_size)
-                start = 0
-                kernel.observed = 0
-                kernel.attach_monitors(monitors, resume=False)
-            for i in range(start, warmup + cycles):
-                kernel.step(stimulus.values(self.cycle))
-                if i >= warmup:
-                    kernel.observe(self.cycle)
-                kernel.commit()
-                self.cycle += 1
-                if checkpoint_every is not None and (i + 1) % checkpoint_every == 0:
-                    kernel.sync_monitors()
-                    self.last_checkpoint = self.checkpoint(i + 1, monitors)
-            kernel.sync_monitors()
-            for monitor in monitors:
-                monitor.finish()
-            return monitors
-
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
@@ -646,22 +522,15 @@ class BatchSimulator:
         Nets and cells are shared (identity-preserved) between the
         snapshot and the live design, so restored monitors keep
         observing the same objects; only the numpy accumulators are
-        duplicated. Checkpoints are engine-portable: the bitslice kernel
-        materialises the same per-lane value/state arrays the generic
-        engines hold, so a checkpoint taken under one engine resumes
-        under any other.
+        duplicated. Checkpoints are engine-portable: both engines hold
+        the same per-lane value/state arrays, so a checkpoint taken under
+        one engine resumes under the other.
         """
-        if self._bskernel is not None:
-            values = self._bskernel.unpack_values()
-            state = self._bskernel.unpack_state()
-        else:
-            values = {net: arr.copy() for net, arr in self.values.items()}
-            state = {cell: arr.copy() for cell, arr in self.state.items()}
         return BatchCheckpoint(
             cycle=self.cycle,
             step_index=step_index,
-            values=values,
-            state=state,
+            values={net: arr.copy() for net, arr in self.values.items()},
+            state={cell: arr.copy() for cell, arr in self.state.items()},
             monitors=self._copy_monitors(monitors),
         )
 
@@ -678,12 +547,6 @@ class BatchSimulator:
     def restore(self, checkpoint: BatchCheckpoint) -> None:
         """Reset the simulator to a previously taken checkpoint."""
         self.cycle = checkpoint.cycle
-        if self._bskernel is not None:
-            self._bskernel.load_values(checkpoint.values)
-            self._bskernel.load_state(checkpoint.state)
-            self.values = self._bskernel.values_view
-            self.state = {}
-            return
         self.values = {net: arr.copy() for net, arr in checkpoint.values.items()}
         self.state = {cell: arr.copy() for cell, arr in checkpoint.state.items()}
 

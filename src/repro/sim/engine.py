@@ -194,28 +194,6 @@ def _degraded(design: Design, engine: str, exc: CompilationError) -> Simulator:
     return simulator
 
 
-def _degraded_to_compiled(design: Design, exc: CompilationError):
-    """Compiled (or further-degraded) simulator standing in for bitslice.
-
-    The bitslice lowering is the strictest backend (it rejects nets
-    wider than its plane budget and cell kinds without a plane
-    lowering), so its natural fallback is the compiled engine — which
-    may itself degrade to the reference engine in turn.
-    """
-    warnings.warn(
-        f"engine 'bitslice' unavailable for design {design.name!r} "
-        f"({exc}); falling back to the compiled engine",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    simulator = make_simulator(design, "compiled")
-    if simulator.fallback_reason:
-        simulator.fallback_reason = f"{exc}; then {simulator.fallback_reason}"
-    else:
-        simulator.fallback_reason = str(exc)
-    return simulator
-
-
 def make_simulator(design: Design, engine: str = "python"):
     """Build a simulator for ``design`` using the requested backend.
 
@@ -223,19 +201,15 @@ def make_simulator(design: Design, engine: str = "python"):
     ``engine="compiled"`` returns a bit-exact
     :class:`~repro.sim.compile.CompiledSimulator` (programs come from
     the global program cache, so repeated construction is cheap);
-    ``engine="bitslice"`` returns a bit-exact
-    :class:`~repro.sim.bitslice.BitsliceSimulator` (the lane-packed
-    bigint kernel; fastest in its batch form — see
-    :class:`~repro.sim.batch.BatchSimulator`); ``engine="checked"``
-    returns a :class:`~repro.sim.checked.CheckedSimulator` running a
-    subject engine and the reference in lockstep with periodic
-    cross-comparison.
+    ``engine="checked"`` returns a
+    :class:`~repro.sim.checked.CheckedSimulator` running the compiled
+    engine and the reference in lockstep with periodic cross-comparison.
 
     Graceful degradation: when lowering to a backend fails with a
-    :class:`~repro.errors.CompilationError`, ``"bitslice"`` falls back
-    to the compiled engine while ``"compiled"`` and ``"checked"`` fall
-    back to the reference engine — a ``RuntimeWarning`` is emitted and
-    the returned simulator carries ``fallback_reason`` so callers (e.g.
+    :class:`~repro.errors.CompilationError`, ``"compiled"`` and
+    ``"checked"`` fall back to the reference engine — a
+    ``RuntimeWarning`` is emitted and the returned simulator carries
+    ``fallback_reason`` so callers (e.g.
     :func:`repro.core.algorithm.isolate_design`) can record the
     degradation in their stage timings. Design-level errors (validation
     failures and other typed :class:`~repro.errors.ReproError`\\ s)
@@ -251,13 +225,6 @@ def make_simulator(design: Design, engine: str = "python"):
             return CompiledSimulator(design)
         except CompilationError as exc:
             return _degraded(design, engine, exc)
-    if engine == "bitslice":
-        from repro.sim.bitslice import BitsliceSimulator
-
-        try:
-            return BitsliceSimulator(design)
-        except CompilationError as exc:
-            return _degraded_to_compiled(design, exc)
     if engine == "checked":
         from repro.sim.checked import CheckedSimulator
 

@@ -159,8 +159,52 @@ class TestGuards:
         with pytest.raises(SimulationError):
             batch.step({"X0": np.zeros(2, dtype=np.uint64)})
 
+    def test_batch_rejects_checked_engine(self):
+        # Lockstep checking exists only for the scalar engines.
+        with pytest.raises(SimulationError):
+            BatchSimulator(design1(), batch_size=4, engine="checked")
+
     def test_unknown_override_rejected(self, d1):
         with pytest.raises(Exception):
             BatchRandomStimulus(
                 d1, batch_size=2, overrides={"GHOST": BatchControlStream(0.5)}
+            )
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize(
+        "donor_engine,resume_engine",
+        [("compiled", "python"), ("python", "compiled")],
+    )
+    def test_checkpoint_is_engine_portable(self, donor_engine, resume_engine):
+        """A checkpoint taken under one engine resumes under the other
+        with the counts of an uninterrupted run."""
+        design = paper_example()
+        batch, cycles, warmup, seed = 13, 40, 4, 23
+
+        full = BatchToggleMonitor()
+        BatchSimulator(design, batch_size=batch).run(
+            BatchRandomStimulus(design, batch, seed=seed), cycles,
+            monitors=[full], warmup=warmup,
+        )
+
+        donor = BatchSimulator(design, batch_size=batch, engine=donor_engine)
+        donor.run(
+            BatchRandomStimulus(design, batch, seed=seed), cycles,
+            monitors=[BatchToggleMonitor()], warmup=warmup, checkpoint_every=13,
+        )
+        checkpoint = donor.last_checkpoint
+        assert 0 < checkpoint.step_index < warmup + cycles
+
+        replay = BatchRandomStimulus(design, batch, seed=seed)
+        for cycle in range(checkpoint.cycle):
+            replay.values(cycle)
+        resumed = BatchSimulator(design, batch_size=batch, engine=resume_engine)
+        monitors = resumed.run(
+            replay, cycles, warmup=warmup, resume_from=checkpoint
+        )
+        assert monitors[0].cycles == full.cycles
+        for net in full.toggles:
+            np.testing.assert_array_equal(
+                full.toggles[net], monitors[0].toggles[net], err_msg=net.name
             )

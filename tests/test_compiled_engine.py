@@ -3,14 +3,17 @@
 Every benchmark generator in :mod:`repro.designs` (including
 ``soc_datapath`` and several ``random_datapath`` seeds) is simulated by
 both engines cycle-by-cycle and compared on every net — before and
-after the isolation transform — plus monitor-statistic equality and the
-``simulate``/``estimate_power``/``BatchSimulator`` engine plumbing.
+after the isolation transform — plus monitor-statistic equality, the
+``simulate``/``estimate_power``/``BatchSimulator`` engine plumbing, and
+hypothesis-generated random netlists in scalar and batch form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.designs as designs
 from repro.core.candidates import find_candidates
@@ -21,6 +24,7 @@ from repro.runconfig import RunConfig
 from repro.sim import (
     BatchRandomStimulus,
     BatchSimulator,
+    BatchToggleMonitor,
     CompiledSimulator,
     ProbeSet,
     Simulator,
@@ -195,3 +199,66 @@ class TestBatchCompiledEngine:
     def test_batch_rejects_unknown_engine(self, d1):
         with pytest.raises(SimulationError):
             BatchSimulator(d1, engine="verilator")
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: random netlists (random_datapath's generator space) and
+# random stimulus seeds, scalar and batch
+# ----------------------------------------------------------------------
+def _scalar_stats(design, engine, seed, cycles=60, warmup=6):
+    monitor = ToggleMonitor()
+    sim = make_simulator(design, engine)
+    assert sim.fallback_reason is None
+    sim.run(random_stimulus(design, seed=seed), cycles, monitors=[monitor],
+            warmup=warmup)
+    return (
+        {net.name: count for net, count in monitor.toggles.items()},
+        {net.name: count for net, count in monitor.ones.items()},
+        dict(sim.state_items()),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    design_seed=st.integers(min_value=0, max_value=2**16),
+    stim_seed=st.integers(min_value=0, max_value=2**16),
+    layers=st.integers(min_value=1, max_value=3),
+    width=st.integers(min_value=2, max_value=12),
+    registered=st.booleans(),
+)
+def test_random_netlists_scalar_equivalence(
+    design_seed, stim_seed, layers, width, registered
+):
+    design = designs.random_datapath(
+        seed=design_seed,
+        layers=layers,
+        modules_per_layer=2,
+        width=width,
+        registered_controls=registered,
+    )
+    assert _scalar_stats(design, "compiled", stim_seed) == _scalar_stats(
+        design, "python", stim_seed
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    design_seed=st.integers(min_value=0, max_value=2**16),
+    stim_seed=st.integers(min_value=0, max_value=2**16),
+    batch=st.integers(min_value=1, max_value=30),
+)
+def test_random_netlists_batch_equivalence(design_seed, stim_seed, batch):
+    design = designs.random_datapath(seed=design_seed, layers=2, modules_per_layer=2)
+    monitors = {}
+    for engine in ("python", "compiled"):
+        monitors[engine] = BatchToggleMonitor()
+        BatchSimulator(design, batch_size=batch, engine=engine).run(
+            BatchRandomStimulus(design, batch, seed=stim_seed), 30,
+            monitors=[monitors[engine]], warmup=3,
+        )
+    for net in monitors["python"].toggles:
+        np.testing.assert_array_equal(
+            monitors["python"].toggles[net],
+            monitors["compiled"].toggles[net],
+            err_msg=net.name,
+        )

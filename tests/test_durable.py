@@ -224,6 +224,71 @@ class TestRecovery:
         finally:
             reborn.shutdown()
 
+    @staticmethod
+    def _rewrite_journaled_run(state_dir, **run_fields):
+        """Patch the ``run`` of every journaled ``submit`` record."""
+        path = os.path.join(str(state_dir), DurableStore.JOURNAL_NAME)
+        records, _ = Journal.read(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            for record in records:
+                if record["type"] == "submit":
+                    record["run"] = {**record["run"], **run_fields}
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def test_orphan_with_rejected_run_config_fails_not_reruns(self, tmp_path):
+        service = make_service(tmp_path, start=False)  # ack but never run
+        job = service.submit("estimate", builtin="design1", run=RUN)
+        service.store.close()  # crash before the job ever ran
+        self._rewrite_journaled_run(tmp_path, engine="bitslice")
+
+        reborn = make_service(tmp_path)
+        try:
+            report = reborn.last_recovery
+            assert report.failed == 1
+            assert report.reenqueued == 0 and report.reenqueued_ids == []
+            recovered = reborn.get(job.id)
+            assert recovered.state == FAILED
+            assert recovered.error["diagnostics"][0]["code"] == "invalid-run-config"
+            assert "engine" in recovered.error["message"]
+            assert "bitslice" in recovered.error["message"]
+        finally:
+            reborn.shutdown()  # drains: anything enqueued would run now
+        assert reborn.cache.get(job.cache_key) == (False, None)
+
+        # The failure was journaled, so a second restart agrees.
+        third = make_service(tmp_path)
+        try:
+            assert third.get(job.id).state == FAILED
+            assert third.last_recovery.failed == 1
+        finally:
+            third.shutdown()
+
+    def test_done_job_with_missing_blob_and_rejected_run_fails(self, tmp_path):
+        service = make_service(tmp_path)
+        try:
+            job = service.submit("estimate", builtin="design1", run=RUN)
+            job = service.wait(job.id, timeout=120)
+            assert job.state == DONE
+        finally:
+            service.shutdown()
+        key = job.cache_key
+        os.remove(
+            os.path.join(str(tmp_path), "cache", "blobs", key[:2], f"{key}.json")
+        )
+        self._rewrite_journaled_run(tmp_path, cycles=-1)
+
+        reborn = make_service(tmp_path)
+        try:
+            report = reborn.last_recovery
+            assert report.results_missing == 1 and report.failed == 1
+            assert report.reenqueued == 0
+            recovered = reborn.get(job.id)
+            assert recovered.state == FAILED
+            assert "cycles" in recovered.error["message"]
+        finally:
+            reborn.shutdown()
+        assert reborn.cache.get(key) == (False, None)
+
     def test_corrupt_result_blob_recomputed_not_served(self, tmp_path):
         service = make_service(tmp_path)
         try:

@@ -190,6 +190,14 @@ def test_campaign_zero_silent_fast(maker):
     assert report.detection_rate == 1.0
 
 
+@pytest.mark.parametrize("maker", [paper_example, design1, fir_datapath])
+def test_campaign_zero_silent_compiled(maker):
+    """The generated engine qualifies under the same taxonomy."""
+    report = run_campaign(maker(), per_kind=1, cycles=80, engine="compiled")
+    assert report.outcomes, "campaign must exercise at least one fault"
+    assert report.silent == [], report.summary()
+
+
 @pytest.mark.campaign
 @pytest.mark.skipif(
     not os.environ.get("REPRO_FULL_CAMPAIGN"),

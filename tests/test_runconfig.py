@@ -34,7 +34,49 @@ class TestRunConfig:
             RunConfig(**bad)
 
     def test_engines_constant(self):
-        assert ENGINES == ("python", "compiled", "bitslice", "checked")
+        assert ENGINES == ("python", "compiled", "checked")
+
+
+class TestRemovedEngine:
+    """The deleted bit-sliced engine is rejected loudly, naming the
+    engines that remain, at every entry point that takes an engine."""
+
+    REMAINING = ("'python'", "'compiled'", "'checked'")
+
+    def test_runconfig_rejects_bitslice(self):
+        with pytest.raises(ReproError, match="unknown engine 'bitslice'") as exc:
+            RunConfig(engine="bitslice")
+        assert all(name in str(exc.value) for name in self.REMAINING)
+
+    def test_isolation_config_rejects_bitslice(self):
+        with pytest.raises(ReproError, match="unknown engine 'bitslice'") as exc:
+            IsolationConfig(engine="bitslice")
+        assert all(name in str(exc.value) for name in self.REMAINING)
+
+    def test_serve_submit_rejects_bitslice_synchronously(self):
+        from repro.serve import JobService
+
+        service = JobService(start=False)
+        try:
+            with pytest.raises(ReproError, match="unknown engine 'bitslice'") as exc:
+                service.submit("estimate", builtin="fig1", run={"engine": "bitslice"})
+            assert all(name in str(exc.value) for name in self.REMAINING)
+            assert service.jobs() == []
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize(
+        "command", ["report", "optimize", "isolate", "compare", "rank", "sweep"]
+    )
+    def test_cli_rejects_bitslice(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--engine", "bitslice"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bitslice'" in err
+        assert all(name in err for name in self.REMAINING)
 
 
 class TestResolveRunConfig:

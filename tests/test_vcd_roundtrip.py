@@ -199,7 +199,7 @@ class TestVcdStimulus:
         assert stim.values(5) == stim.values(1)
 
 
-@pytest.mark.parametrize("engine", ["python", "compiled", "bitslice"])
+@pytest.mark.parametrize("engine", ["python", "compiled"])
 @pytest.mark.parametrize(
     "maker", [paper_example, design1, fir_datapath], ids=["fig1", "design1", "fir"]
 )
