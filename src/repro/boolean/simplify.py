@@ -87,11 +87,14 @@ def _simplify_once(expr: Expr) -> Expr:
     if isinstance(expr, Not):
         return not_(_simplify_once(expr.child))
     if isinstance(expr, (And, Or)):
-        is_or = isinstance(expr, Or)
         args = tuple(_simplify_once(a) for a in expr.args)
-        rebuilt = or_(*args) if is_or else and_(*args)
+        rebuilt = or_(*args) if isinstance(expr, Or) else and_(*args)
         if not isinstance(rebuilt, (And, Or)):
             return rebuilt
+        # The constructor may collapse to the other operator (``x·y + x·y``
+        # dedups to the product ``x·y``), so the rules below follow the
+        # rebuilt node, not the original one.
+        is_or = isinstance(rebuilt, Or)
         args = _drop_subsumed(rebuilt.args, is_or)
         # Unit propagation: literal factors fix their value inside siblings.
         unit_literals = [a for a in args if _is_literal(a)]

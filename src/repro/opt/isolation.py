@@ -70,6 +70,12 @@ class IsolationPass(TransformPass):
             if c.always_active:
                 obs.counter("candidates.rejected", reason="always_active").inc()
                 continue
+            # f ≡ 0: the result is never observed (dead logic, e.g. behind
+            # a free-running register look-ahead proves unread). Removing
+            # the module is the right fix; isolate_candidate refuses it.
+            if c.activation.is_false:
+                obs.counter("candidates.rejected", reason="never_active").inc()
+                continue
             if tautology_check.is_tautology(c.activation):
                 obs.counter("candidates.rejected", reason="tautology").inc()
                 continue

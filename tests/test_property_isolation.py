@@ -12,7 +12,7 @@ Over seeded random datapaths and random control statistics:
    never gains primary inputs/outputs or architectural registers.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import IsolationConfig, derive_activation_functions, isolate_design
@@ -132,6 +132,9 @@ def test_activation_functions_are_dynamically_sound(seed, p):
     style=st.sampled_from(STYLES),
     p=st.sampled_from([0.2, 0.5, 0.8]),
 )
+# u0_0 feeds a free-running register that is never read: look-ahead
+# gives it f = 0, which isolation must skip rather than try to isolate.
+@example(seed=292, style="and", p=0.2)
 def test_lookahead_isolation_preserves_outputs(seed, style, p):
     """With registered controls, look-ahead derivation finds real
     prediction opportunities; outputs must still match cycle-for-cycle

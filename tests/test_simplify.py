@@ -22,6 +22,13 @@ class TestSimplifyRules:
         e = or_(and_(a, b), and_(a, b, c))
         assert simplify(e) == and_(a, b)
 
+    def test_duplicate_terms_collapse_to_product(self):
+        # Both OR terms simplify to c·a; the OR dedups to an AND node,
+        # which must not then be treated as an OR (was c + a).
+        a, b, c = var("a"), var("b"), var("c")
+        e = or_(and_(c, a), and_(c, a, or_(a, b)))
+        assert simplify(e) == and_(c, a)
+
     def test_unit_propagation_in_and(self):
         a, b = var("a"), var("b")
         # a * (a + b) -> a ; a * (!a + b) -> a*b
